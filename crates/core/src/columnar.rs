@@ -1,9 +1,9 @@
-//! Sorted columnar runs of interned symbols, batch slicing, and the
-//! merge spine — the physical layer behind [`crate::batch`].
+//! Sorted columnar runs of node ids, batch slicing, and the merge
+//! spine — the physical layer behind [`crate::batch`].
 //!
 //! A [`ColumnarRelation`] re-represents a relation's stored tuples
-//! column-major: one `Vec<NodeId>` of sort keys plus one `Vec<Sym>` of
-//! interned node names per attribute, with a parallel truth column.
+//! column-major: one `Vec<NodeId>` per attribute, with a parallel truth
+//! column.
 //! Rows keep the exact order of [`HRelation::iter`] (items sort
 //! lexicographically by node id), so rebuilding a `BTreeMap` from a run
 //! round-trips byte-for-byte. Operators slice the columns into
@@ -14,14 +14,13 @@
 //! A process-global intersection cache (keyed by graph version, like
 //! the subsumption cache) memoizes `maximal_intersection` calls across
 //! batches and queries; `bench::fixtures::clear_shared_caches` resets
-//! it alongside the interner.
+//! it.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hrdm_hierarchy::{HierarchyGraph, NodeId};
 
-use crate::intern::{self, Sym};
 use crate::item::Item;
 use crate::relation::HRelation;
 use crate::schema::Schema;
@@ -36,12 +35,6 @@ pub struct ColumnarRelation {
     schema: Arc<Schema>,
     /// Per attribute: the node-id sort keys, row-aligned.
     node_cols: Vec<Vec<NodeId>>,
-    /// Per attribute: the interned node names, row-aligned with
-    /// `node_cols` (the `Sym` payload render/export paths hash and
-    /// print without touching `Arc<str>`s). Built lazily on first
-    /// access: the batch executor itself works on node ids only, so
-    /// query evaluation never pays the interner.
-    sym_cols: OnceLock<Vec<Vec<Sym>>>,
     truths: Vec<Truth>,
 }
 
@@ -62,31 +55,8 @@ impl ColumnarRelation {
         ColumnarRelation {
             schema,
             node_cols,
-            sym_cols: OnceLock::new(),
             truths,
         }
-    }
-
-    /// The interned-symbol columns, built on first use. Per-column
-    /// dictionary: node id → interned name, so each distinct node's
-    /// name is interned once per build, not per row.
-    fn sym_cols(&self) -> &Vec<Vec<Sym>> {
-        self.sym_cols.get_or_init(|| {
-            let arity = self.node_cols.len();
-            let mut dicts: Vec<HashMap<NodeId, Sym>> = vec![HashMap::new(); arity];
-            (0..arity)
-                .map(|i| {
-                    self.node_cols[i]
-                        .iter()
-                        .map(|&node| {
-                            *dicts[i].entry(node).or_insert_with(|| {
-                                intern::intern(self.schema.domain(i).name(node).as_str())
-                            })
-                        })
-                        .collect()
-                })
-                .collect()
-        })
     }
 
     /// The relation's schema.
@@ -169,12 +139,6 @@ impl<'a> Batch<'a> {
     /// Node-id slice of column `i`.
     pub fn col(&self, i: usize) -> &'a [NodeId] {
         &self.rel.node_cols[i][self.start..self.start + self.len]
-    }
-
-    /// Interned-symbol slice of column `i` (interns lazily on first
-    /// access per relation).
-    pub fn syms(&self, i: usize) -> &'a [Sym] {
-        &self.rel.sym_cols()[i][self.start..self.start + self.len]
     }
 
     /// Truth slice, row-aligned with the columns.
@@ -410,23 +374,6 @@ mod tests {
         assert_eq!(items, expected);
         let truths: Vec<Truth> = r.iter().map(|(_, t)| t).collect();
         assert_eq!(col.truths(), &truths[..]);
-    }
-
-    #[test]
-    fn syms_resolve_to_node_names() {
-        let schema = animal_schema();
-        let r = flying(&schema);
-        let col = ColumnarRelation::from_relation(&r);
-        for batch in col.batches() {
-            for k in 0..batch.len() {
-                let node = batch.col(0)[k];
-                let sym = batch.syms(0)[k];
-                assert_eq!(
-                    crate::intern::resolve(sym).as_deref(),
-                    Some(schema.domain(0).name(node).as_str())
-                );
-            }
-        }
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub mod error;
 pub mod explicate;
 pub mod flat;
 pub mod integrity;
-pub mod intern;
 pub mod item;
 pub mod justify;
 pub mod mutation;
@@ -108,7 +107,6 @@ pub mod prelude {
         cone_limit, set_cone_limit, MaintainReport, MaterializedPlan, DEFAULT_CONE_LIMIT,
     };
     pub use crate::error::{CoreError, Result};
-    pub use crate::intern::Sym;
     pub use crate::item::Item;
     pub use crate::mutation::{CatalogMutation, MutationSink};
     pub use crate::parallel::ExecMode;

@@ -192,6 +192,9 @@ pub enum Statement {
         /// New relation name.
         to: String,
     },
+    /// `SHOW RELATIONS` — list every relation as the `CREATE RELATION`
+    /// statement of its signature, one per line, in name order.
+    ShowRelations,
 }
 
 /// The fieldless discriminant of a [`Statement`] — the key the
@@ -257,10 +260,12 @@ pub enum StatementKind {
     DropRelation = 25,
     /// `RENAME RELATION`
     RenameRelation = 26,
+    /// `SHOW RELATIONS`
+    ShowRelations = 27,
 }
 
 /// Number of statement kinds (= dispatch-table length).
-pub const STATEMENT_KINDS: usize = 27;
+pub const STATEMENT_KINDS: usize = 28;
 
 impl StatementKind {
     /// Does this statement leave the session state untouched?
@@ -279,6 +284,7 @@ impl StatementKind {
                 | StatementKind::Check
                 | StatementKind::Show
                 | StatementKind::ShowDomain
+                | StatementKind::ShowRelations
                 | StatementKind::Count
                 | StatementKind::Save
                 | StatementKind::Explain
@@ -318,6 +324,7 @@ impl Statement {
             Statement::DropDomain { .. } => StatementKind::DropDomain,
             Statement::DropRelation { .. } => StatementKind::DropRelation,
             Statement::RenameRelation { .. } => StatementKind::RenameRelation,
+            Statement::ShowRelations => StatementKind::ShowRelations,
         }
     }
 
@@ -378,8 +385,21 @@ fn quoted(name: &str) -> String {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
         && !name.contains("--")
         && ![
-            "all", "not", "under", "of", "over", "in", "on", "by", "where", "is", "and", "domain",
-            "to", "relation",
+            "all",
+            "not",
+            "under",
+            "of",
+            "over",
+            "in",
+            "on",
+            "by",
+            "where",
+            "is",
+            "and",
+            "domain",
+            "to",
+            "relation",
+            "relations",
         ]
         .contains(&name.to_ascii_lowercase().as_str());
     if bare_ok {
@@ -510,6 +530,7 @@ impl fmt::Display for Statement {
             Statement::RenameRelation { from, to } => {
                 write!(f, "RENAME RELATION {} TO {};", quoted(from), quoted(to))
             }
+            Statement::ShowRelations => write!(f, "SHOW RELATIONS;"),
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The concurrent HQL engine: snapshot reads, serialized writes.
 //!
-//! An [`Engine`] is the shared, thread-safe core a
-//! [`Session`](crate::Session) (and the `hrdm-server` serving layer)
-//! executes against. It splits the statement vocabulary by effect:
+//! An [`Engine`] is the shared, thread-safe core embedded programs
+//! (and the `hrdm-server` serving layer) execute against. It splits
+//! the statement vocabulary by effect:
 //!
 //! * **Read-only statements** (`HOLDS`, `SHOW`, `EXPLAIN`, …) grab one
 //!   [`Snapshot`] of the [`World`] and evaluate with no lock held —
@@ -204,6 +204,7 @@ const DISPATCH: [Handler; STATEMENT_KINDS] = [
     Handler::Write(exec_drop_domain),     // DropDomain
     Handler::Write(exec_drop_relation),   // DropRelation
     Handler::Write(exec_rename_relation), // RenameRelation
+    Handler::Read(exec_show_relations),   // ShowRelations
 ];
 
 /// A pinned, shareable read-only view of the engine: one snapshot
@@ -257,9 +258,8 @@ impl ReadView {
     }
 
     /// Execute one parsed statement against the pinned snapshot **iff**
-    /// it is read-only (`None` otherwise). The per-statement entry
-    /// point a sharded coordinator scatter-gathers through: it routes
-    /// each statement to its owning shard's floor-checked view.
+    /// it is read-only (`None` otherwise) — the entry point for callers
+    /// that already hold parsed statements.
     pub fn execute_statement(&self, stmt: Statement) -> Option<Result<Response>> {
         let Handler::Read(h) = &DISPATCH[stmt.kind() as usize] else {
             return None;
@@ -423,9 +423,7 @@ impl Engine {
     }
 
     /// Replace the whole published state from a persistence image (no
-    /// journal interaction; used by [`Session::restore`]).
-    ///
-    /// [`Session::restore`]: crate::Session::restore
+    /// journal interaction).
     pub fn restore(&self, image: Image) {
         let _writer = self.inner.writer.lock().expect("writer lock poisoned");
         self.inner.state.publish(Arc::new(World::from_image(image)));
@@ -814,6 +812,20 @@ fn exec_show_domain(world: &World, stmt: Statement) -> Result<Response> {
     Ok(Response::Dot(hrdm_hierarchy::dot::to_dot(g, &name)))
 }
 
+fn exec_show_relations(world: &World, _stmt: Statement) -> Result<Response> {
+    let lines: Vec<String> = world
+        .signatures()
+        .map(|(name, attributes)| {
+            Statement::CreateRelation {
+                name: name.to_string(),
+                attributes: attributes.to_vec(),
+            }
+            .to_string()
+        })
+        .collect();
+    Ok(Response::Ok(lines.join("\n")))
+}
+
 fn exec_count(world: &World, stmt: Statement) -> Result<Response> {
     let Statement::Count { relation, by } = stmt else {
         unreachable!("dispatched by kind")
@@ -916,6 +928,7 @@ mod tests {
             DropDomain,
             DropRelation,
             RenameRelation,
+            ShowRelations,
         ];
         assert_eq!(kinds.len(), STATEMENT_KINDS);
         for (i, kind) in kinds.into_iter().enumerate() {

@@ -4,7 +4,8 @@
 //! [`Engine`]: the same code drives
 //!
 //! * the embedded [`Engine`] (implemented here),
-//! * a sharded coordinator ([`ShardedEngine`](crate::shard::ShardedEngine)),
+//! * a shard coordinator over any of these
+//!   ([`Coordinator`](crate::shard::Coordinator)),
 //! * a WAL-fed read replica ([`Replica`](crate::replica::Replica)),
 //! * a remote server over HRDM/1 (`hrdm-server`'s `proto::Client`).
 //!
@@ -22,6 +23,7 @@
 //! against a read replica, `OPEN` through a sharded coordinator), and
 //! `"busy"`/`"io"` from remote transports.
 
+use crate::ast::Statement;
 use crate::engine::Engine;
 use crate::error::HqlError;
 use crate::exec::Response;
@@ -104,6 +106,17 @@ pub trait ExecutorHandle: Send + Sync {
     /// that has not caught up, or a future epoch nothing has published.
     fn execute_read(&self, script: &str, min_epoch: u64) -> ExecResult<Vec<String>>;
 
+    /// Execute one parsed statement, returning its rendered response —
+    /// the per-statement entry point a shard coordinator routes
+    /// through. By default the statement is rendered and sent through
+    /// [`execute`](ExecutorHandle::execute); a backend that can run a
+    /// parsed statement directly overrides it to skip the re-parse.
+    fn execute_parsed(&self, stmt: Statement) -> ExecResult<String> {
+        self.execute(&stmt.to_string())?
+            .pop()
+            .ok_or_else(|| ExecError::new("protocol", "empty response body"))
+    }
+
     /// The epoch of the most recent committed write this handle can
     /// observe (monotone per handle; comparable only within one
     /// backend's epoch space).
@@ -139,6 +152,12 @@ impl ExecutorHandle for Engine {
             )),
             Some(result) => result.map(|rs| render(&rs)).map_err(ExecError::from),
         }
+    }
+
+    fn execute_parsed(&self, stmt: Statement) -> ExecResult<String> {
+        Engine::execute_statement(self, stmt)
+            .map(|r| r.to_string())
+            .map_err(ExecError::from)
     }
 
     fn last_epoch(&self) -> ExecResult<u64> {

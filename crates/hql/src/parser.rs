@@ -171,6 +171,9 @@ impl Parser {
                 let name = self.name("a domain name")?;
                 return Ok(Statement::ShowDomain { name });
             }
+            if self.eat_kw("relations") {
+                return Ok(Statement::ShowRelations);
+            }
             let relation = self.name("a relation name")?;
             return Ok(Statement::Show { relation });
         }
@@ -453,6 +456,15 @@ mod tests {
             Statement::SetPreemption { mode, .. } => assert_eq!(mode, "ON-PATH"),
             other => panic!("unexpected {other:?}"),
         }
+        // A relation named like the keyword stays reachable quoted.
+        let stmts = parse("SHOW RELATIONS; SHOW \"Relations\";").unwrap();
+        assert_eq!(stmts[0], Statement::ShowRelations);
+        assert_eq!(
+            stmts[1],
+            Statement::Show {
+                relation: "Relations".into()
+            }
+        );
     }
 
     #[test]

@@ -1,44 +1,53 @@
-//! A single-process sharded coordinator over N engine shards.
+//! One shard coordinator for every backend.
 //!
-//! [`ShardedEngine`] hash-partitions the catalog by **relation name**
-//! ([`default_shard`]) across N in-process [`Engine`] shards, while
-//! staying **domain-subtree aware**: domain hierarchies are replicated
-//! to every shard (domain DDL — `CREATE DOMAIN`/`CLASS`/`INSTANCE`,
-//! `PREFER`, `DROP DOMAIN` — broadcasts), so the name-hash partition
-//! never splits a domain's subsumption structure and any relation can
-//! resolve its values on whichever shard owns it.
+//! A [`Coordinator`] hash-partitions one logical catalog by **relation
+//! name** ([`default_shard`]) across N shards that are themselves
+//! [`ExecutorHandle`]s: in-process engines ([`ShardedEngine`]) or
+//! `HRDM/1` connections to shard servers (`hrdm_server::WireRouter`).
+//! Domain hierarchies are replicated to every shard (domain DDL —
+//! `CREATE DOMAIN`/`CLASS`/`INSTANCE`, `PREFER`, `DROP DOMAIN` —
+//! broadcasts), so the name partition never splits a domain's
+//! subsumption structure and a relation's inheritance and exceptions
+//! resolve entirely on the one shard that holds it.
 //!
-//! * **Reads scatter-gather**: each read statement routes to its owning
-//!   shard's epoch-floor-checked [`ReadView`] and the responses are
-//!   gathered in statement order.
-//! * **Writes route**: relation-scoped writes go to the owning shard;
-//!   `LET` lands on the (single) shard holding all its sources;
-//!   `RENAME RELATION` migrates the relation when the name hash moves
-//!   it to a different shard.
-//! * **Errors merge** under the existing stable wire codes: a shard's
-//!   [`HqlError::kind`](crate::HqlError::kind) crosses the coordinator
-//!   unchanged as an [`ExecError`].
+//! * **A relation lives on the shard that created or derived it.**
+//!   [`Coordinator::owner_of`] is a name's route if it has one, its hash
+//!   otherwise, and every statement naming a relation goes through it —
+//!   `CREATE RELATION`, the target of `LET` and the target of `RENAME`
+//!   included. A name already held by one shard is therefore rejected
+//!   with the `duplicate` error a single engine gives. `RENAME` runs on
+//!   the owning shard and moves the route; rows never move.
+//! * **`LET`, `EXPLAIN` and `TRACE`** run on the one shard holding all
+//!   of their sources; derivations spanning shards report
+//!   `"unsupported"`.
+//! * **Placement is read back from the shards.** [`Coordinator::over`]
+//!   fills the route table from each shard's `SHOW RELATIONS`, and the
+//!   `DROP DOMAIN` in-use guard reads every shard's listing again under
+//!   the DDL lock — so a coordinator started over populated shards
+//!   routes and guards exactly like the one that populated them.
+//! * **Errors keep their stable kinds**: a shard's error crosses
+//!   unchanged, and the coordinator's own refusals are the single
+//!   engine's errors (`duplicate`, `in-use`) or `"unsupported"`.
 //!
-//! The coordinator keeps a per-shard **epoch floor**, advanced after
-//! every write it routes; reads pin a view at or above the floor, so a
-//! read that program-order follows a write through this coordinator
-//! always observes it, even while other statements race.
+//! Ordering needs no bookkeeping: an engine shard publishes each write
+//! before [`Engine::execute_statement`] returns, and a wire shard takes
+//! all of its statements in order down one connection, so a read that
+//! follows a write through the coordinator always observes it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, RwLock};
 
-use hrdm_core::prelude::*;
+use hrdm_core::prelude::CoreError;
 
-use crate::ast::{Derivation, Source, Statement, ValueRef};
-use crate::engine::{Engine, ReadView};
+use crate::ast::{Derivation, Source, Statement};
+use crate::engine::Engine;
 use crate::error::HqlError;
-use crate::exec::Response;
 use crate::executor::{ExecError, ExecResult, ExecutorHandle};
 use crate::parser::parse;
 
 /// The default placement of a relation name: FNV-1a over the name,
-/// modulo the shard count. Routing-table entries (tracking `LET`
-/// colocations and `RENAME` moves) override it.
+/// modulo the shard count. Route-table entries (relations the shards
+/// hold) override it.
 pub fn default_shard(relation: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in relation.as_bytes() {
@@ -92,112 +101,228 @@ pub fn derivation_sources(derivation: &Derivation, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Routing state: the authoritative relation→shard map plus the
-/// per-shard epoch floors of writes routed through this coordinator.
-struct Routing {
-    routes: BTreeMap<String, usize>,
-    floors: Vec<u64>,
+/// Where a statement runs.
+enum Target<'a> {
+    /// Every shard, shard 0 first.
+    Broadcast,
+    /// Every shard, once no shard's relation uses the domain.
+    DropDomain(&'a str),
+    /// The shard owning the named relation.
+    Owner(&'a str),
+    /// The one shard holding all of a derivation's sources.
+    Sources(&'a Derivation),
+    /// Any single shard: domain state is identical on all of them.
+    AnyShard,
+    /// Every shard's relation listing, merged in name order.
+    Gather,
+    /// Whole-catalog persistence, which does not route.
+    Unsupported,
 }
 
-/// A coordinator that partitions one logical catalog across N
-/// in-process engine shards behind the same [`ExecutorHandle`] surface
-/// as a single [`Engine`]. See the module docs for the routing rules.
+/// The coordinator's routing rule for one statement: where it runs, the
+/// relation name it brings into being there, and the name it removes.
+struct Rule<'a> {
+    target: Target<'a>,
+    claims: Option<&'a String>,
+    releases: Option<&'a String>,
+}
+
+fn rule(stmt: &Statement) -> Rule<'_> {
+    let (target, claims, releases) = match stmt {
+        Statement::CreateDomain { .. }
+        | Statement::CreateClass { .. }
+        | Statement::CreateInstance { .. }
+        | Statement::Prefer { .. } => (Target::Broadcast, None, None),
+        Statement::DropDomain { name } => (Target::DropDomain(name), None, None),
+        Statement::CreateRelation { name, .. } => (Target::Owner(name), Some(name), None),
+        Statement::DropRelation { name } => (Target::Owner(name), None, Some(name)),
+        Statement::RenameRelation { from, to } => (Target::Owner(from), Some(to), Some(from)),
+        Statement::Let { name, derivation } => (Target::Sources(derivation), Some(name), None),
+        Statement::Explain { derivation } | Statement::Trace { derivation } => {
+            (Target::Sources(derivation), None, None)
+        }
+        Statement::ShowDomain { .. } => (Target::AnyShard, None, None),
+        Statement::ShowRelations => (Target::Gather, None, None),
+        Statement::Save { .. }
+        | Statement::Load { .. }
+        | Statement::Open { .. }
+        | Statement::Checkpoint => (Target::Unsupported, None, None),
+        other => {
+            let relation =
+                statement_relation(other).expect("all remaining statements are relation-scoped");
+            (Target::Owner(relation), None, None)
+        }
+    };
+    Rule {
+        target,
+        claims,
+        releases,
+    }
+}
+
+/// A relation's `(attribute, domain)` pairs, as `CREATE RELATION`
+/// declares them.
+type Signature = Vec<(String, String)>;
+
+/// One shard's relations with their signatures, read back through
+/// `SHOW RELATIONS`.
+fn relations_on<S: ExecutorHandle>(shard: &S) -> ExecResult<Vec<(String, Signature)>> {
+    let listing = shard.execute_parsed(Statement::ShowRelations)?;
+    parse(&listing)?
+        .into_iter()
+        .map(|stmt| match stmt {
+            Statement::CreateRelation { name, attributes } => Ok((name, attributes)),
+            other => Err(ExecError::new(
+                "protocol",
+                format!("unexpected `{other}` in a relation listing"),
+            )),
+        })
+        .collect()
+}
+
+/// A coordinator that partitions one logical catalog across N shards
+/// behind the same [`ExecutorHandle`] surface as a single [`Engine`].
+/// See the module docs for the routing rules.
 ///
 /// Statements that are inherently whole-catalog (`SAVE`, `LOAD`,
 /// `OPEN`, `CHECKPOINT`) report kind `"unsupported"` through the
-/// coordinator — durability composes per shard instead (each shard
-/// engine can be `OPEN`ed individually before serving).
-pub struct ShardedEngine {
-    shards: Vec<Engine>,
-    routing: RwLock<Routing>,
-    /// Serializes route-changing DDL (broadcasts, create/drop/rename
-    /// relation) so a `DROP DOMAIN` probe can't race a `CREATE
-    /// RELATION` into an inconsistent cross-shard state. Row writes
-    /// (`ASSERT`, …) do not take it.
+/// coordinator — durability composes per shard instead (each shard can
+/// be `OPEN`ed individually before serving).
+pub struct Coordinator<S> {
+    shards: Vec<S>,
+    /// Relation name → the shard holding it, for every relation.
+    routes: RwLock<BTreeMap<String, usize>>,
+    /// Serializes statements that change domains or placement, so the
+    /// `DROP DOMAIN` read-back can't race a `CREATE RELATION` into an
+    /// inconsistent cross-shard state. Reads and row writes (`ASSERT`,
+    /// …) do not take it.
     ddl: Mutex<()>,
 }
+
+/// The single-process coordinator over in-process engine shards.
+pub type ShardedEngine = Coordinator<Engine>;
 
 impl ShardedEngine {
     /// A coordinator over `shards` fresh, empty engine shards (at
     /// least one).
     pub fn new(shards: usize) -> ShardedEngine {
-        let n = shards.max(1);
-        ShardedEngine {
-            shards: (0..n).map(|_| Engine::new()).collect(),
-            routing: RwLock::new(Routing {
-                routes: BTreeMap::new(),
-                floors: vec![0; n],
-            }),
-            ddl: Mutex::new(()),
+        Coordinator::over((0..shards.max(1)).map(|_| Engine::new()).collect())
+            .expect("fresh engines hold no relations")
+    }
+}
+
+impl<S: ExecutorHandle> Coordinator<S> {
+    /// A coordinator over `shards` (in shard order, at least one),
+    /// reading the placement of every relation they already hold back
+    /// from them. Fails if a shard cannot list its relations, or with
+    /// kind `"duplicate"` if two shards hold the same name.
+    pub fn over(shards: Vec<S>) -> ExecResult<Coordinator<S>> {
+        assert!(!shards.is_empty(), "a coordinator needs at least one shard");
+        let mut routes = BTreeMap::new();
+        for (k, shard) in shards.iter().enumerate() {
+            for (name, _) in relations_on(shard)? {
+                if let Some(j) = routes.insert(name.clone(), k) {
+                    return Err(ExecError::new(
+                        "duplicate",
+                        format!("relation {name:?} is held by shards {j} and {k}"),
+                    ));
+                }
+            }
         }
+        Ok(Coordinator {
+            shards,
+            routes: RwLock::new(routes),
+            ddl: Mutex::new(()),
+        })
     }
 
-    /// The shard engines, in shard order — e.g. to put each behind its
+    /// The shards, in shard order — e.g. to put each engine behind its
     /// own `hrdm-server` event loop.
-    pub fn shards(&self) -> &[Engine] {
+    pub fn shards(&self) -> &[S] {
         &self.shards
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard currently owning `relation`: its routing-table entry
-    /// if the coordinator placed it, the name hash otherwise.
+    /// The shard owning `relation`: its route if a shard holds it, the
+    /// name hash otherwise.
     pub fn owner_of(&self, relation: &str) -> usize {
-        let routing = self.routing.read().expect("routing lock poisoned");
-        routing
-            .routes
-            .get(relation)
-            .copied()
+        self.route_of(relation)
             .unwrap_or_else(|| default_shard(relation, self.shards.len()))
     }
 
-    /// The routing-table entry for `relation`, if the coordinator has
-    /// placed it (created, `LET`-bound, or renamed through here).
+    /// The shard holding `relation`, if any does.
     pub fn route_of(&self, relation: &str) -> Option<usize> {
-        let routing = self.routing.read().expect("routing lock poisoned");
-        routing.routes.get(relation).copied()
+        let routes = self.routes.read().expect("routes lock poisoned");
+        routes.get(relation).copied()
     }
 
-    /// The coordinator epoch: the sum of all shard epochs (monotone —
-    /// every routed or broadcast write advances it by at least one).
-    pub fn epoch(&self) -> u64 {
-        self.shards.iter().map(Engine::epoch).sum()
-    }
-
-    /// Execute one statement on shard `k` and advance its epoch floor.
-    fn exec_on(&self, k: usize, stmt: Statement) -> ExecResult<Response> {
-        let response = self.shards[k].execute_statement(stmt)?;
-        let mut routing = self.routing.write().expect("routing lock poisoned");
-        let epoch = self.shards[k].epoch();
-        if routing.floors[k] < epoch {
-            routing.floors[k] = epoch;
+    /// Execute one statement where its [`Rule`] places it.
+    fn run(&self, stmt: Statement) -> ExecResult<String> {
+        let Rule {
+            target,
+            claims,
+            releases,
+        } = rule(&stmt);
+        let claims = claims.cloned();
+        let releases = releases.cloned();
+        let _ddl = (claims.is_some()
+            || releases.is_some()
+            || matches!(target, Target::Broadcast | Target::DropDomain(_)))
+        .then(|| self.ddl.lock().expect("ddl lock poisoned"));
+        let k = match target {
+            Target::Owner(name) => self.owner_of(name),
+            Target::Sources(derivation) => self.single_shard_of(derivation)?,
+            Target::AnyShard => 0,
+            Target::Broadcast => return self.broadcast(stmt),
+            Target::DropDomain(name) => {
+                self.refuse_in_use(name)?;
+                return self.broadcast(stmt);
+            }
+            Target::Gather => {
+                let lines: Vec<String> = self
+                    .listing()?
+                    .into_iter()
+                    .map(|(name, attributes)| {
+                        Statement::CreateRelation { name, attributes }.to_string()
+                    })
+                    .collect();
+                return Ok(lines.join("\n"));
+            }
+            Target::Unsupported => {
+                return Err(ExecError::new(
+                    "unsupported",
+                    format!(
+                        "`{stmt}` is whole-catalog; it does not route through a shard \
+                         coordinator (run it on each shard individually)"
+                    ),
+                ))
+            }
+        };
+        if let Some(name) = &claims {
+            if self.route_of(name).is_some_and(|j| j != k) {
+                return Err(HqlError::Duplicate {
+                    kind: "relation",
+                    name: name.clone(),
+                }
+                .into());
+            }
+        }
+        let response = self.shards[k].execute_parsed(stmt)?;
+        if claims.is_some() || releases.is_some() {
+            let mut routes = self.routes.write().expect("routes lock poisoned");
+            if let Some(name) = releases {
+                routes.remove(&name);
+            }
+            if let Some(name) = claims {
+                routes.insert(name, k);
+            }
         }
         Ok(response)
     }
 
-    /// Pin a read view on shard `k` at or above its epoch floor.
-    ///
-    /// The floor is recorded *after* a routed write publishes, so a
-    /// freshly loaded view can never be below it; the loop is the
-    /// belt-and-braces form of that argument.
-    fn floor_view(&self, k: usize) -> ReadView {
-        let floor = self.routing.read().expect("routing lock poisoned").floors[k];
-        loop {
-            let view = self.shards[k].read_view();
-            if view.epoch() >= floor {
-                return view;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     /// The single shard holding **all** of a derivation's sources.
-    /// Cross-shard derivations are not evaluated in this PR; colocate
-    /// the sources (they hash together or were `LET` on one shard) or
-    /// run the derivation against one shard engine directly.
+    /// Cross-shard derivations are not evaluated; colocate the sources
+    /// (they hash together or were `LET` on one shard) or run the
+    /// derivation against one shard directly.
     fn single_shard_of(&self, derivation: &Derivation) -> ExecResult<usize> {
         let mut sources = BTreeSet::new();
         derivation_sources(derivation, &mut sources);
@@ -220,10 +345,10 @@ impl ShardedEngine {
     /// induction, its verdict is the statement's verdict, and a failure
     /// there leaves all shards untouched. The caller holds the DDL
     /// lock.
-    fn broadcast_locked(&self, stmt: Statement) -> ExecResult<Response> {
-        let response = self.exec_on(0, stmt.clone())?;
-        for k in 1..self.shards.len() {
-            self.exec_on(k, stmt.clone()).map_err(|e| {
+    fn broadcast(&self, stmt: Statement) -> ExecResult<String> {
+        let response = self.shards[0].execute_parsed(stmt.clone())?;
+        for (k, shard) in self.shards.iter().enumerate().skip(1) {
+            shard.execute_parsed(stmt.clone()).map_err(|e| {
                 ExecError::new(
                     "execution",
                     format!("shard {k} diverged on broadcast of `{stmt}`: {e}"),
@@ -233,268 +358,88 @@ impl ShardedEngine {
         Ok(response)
     }
 
-    fn run_write(&self, stmt: Statement) -> ExecResult<Response> {
-        match stmt {
-            Statement::CreateDomain { .. }
-            | Statement::CreateClass { .. }
-            | Statement::CreateInstance { .. }
-            | Statement::Prefer { .. } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                self.broadcast_locked(stmt)
-            }
-            Statement::DropDomain { name } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                // The InUse guard must see every shard's relations, not
-                // just one's: probe all snapshots before broadcasting.
-                for shard in &self.shards {
-                    if let Some(by) = shard.snapshot().domain_user(&name) {
-                        return Err(HqlError::Core(CoreError::InUse {
-                            kind: "domain",
-                            name: name.clone(),
-                            by,
-                        })
-                        .into());
-                    }
-                }
-                self.broadcast_locked(Statement::DropDomain { name })
-            }
-            Statement::CreateRelation { name, attributes } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = default_shard(&name, self.shards.len());
-                let response = self.exec_on(
-                    k,
-                    Statement::CreateRelation {
-                        name: name.clone(),
-                        attributes,
-                    },
-                )?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.insert(name, k);
-                Ok(response)
-            }
-            Statement::DropRelation { name } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = self.owner_of(&name);
-                let response = self.exec_on(k, Statement::DropRelation { name: name.clone() })?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.remove(&name);
-                Ok(response)
-            }
-            Statement::RenameRelation { from, to } => self.rename(from, to),
-            Statement::Let { name, derivation } => {
-                let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-                let k = self.single_shard_of(&derivation)?;
-                let response = self.exec_on(
-                    k,
-                    Statement::Let {
-                        name: name.clone(),
-                        derivation,
-                    },
-                )?;
-                let mut routing = self.routing.write().expect("routing lock poisoned");
-                routing.routes.insert(name, k);
-                Ok(response)
-            }
-            Statement::Load { .. } | Statement::Open { .. } | Statement::Checkpoint => {
-                Err(ExecError::new(
-                    "unsupported",
-                    format!(
-                        "`{}` is whole-catalog; it does not route through a sharded \
-                         coordinator (open each shard engine individually)",
-                        stmt.kind_keyword()
-                    ),
-                ))
-            }
-            other => {
-                // Relation-scoped row writes: ASSERT, RETRACT,
-                // CONSOLIDATE, EXPLICATE, SET PREEMPTION.
-                let relation = statement_relation(&other)
-                    .expect("all remaining write statements are relation-scoped")
-                    .to_string();
-                self.exec_on(self.owner_of(&relation), other)
-            }
+    /// Every shard's relations and signatures, merged in name order.
+    fn listing(&self) -> ExecResult<BTreeMap<String, Signature>> {
+        let mut all = BTreeMap::new();
+        for shard in &self.shards {
+            all.extend(relations_on(shard)?);
         }
+        Ok(all)
     }
 
-    fn run_read(&self, stmt: Statement) -> ExecResult<Response> {
-        let k = match &stmt {
-            Statement::ShowDomain { .. } => 0, // domains are on every shard
-            Statement::Explain { derivation } | Statement::Trace { derivation } => {
-                self.single_shard_of(derivation)?
-            }
-            Statement::Save { .. } => {
-                return Err(ExecError::new(
-                    "unsupported",
-                    "`SAVE` is whole-catalog; it does not route through a sharded coordinator",
-                ))
-            }
-            other => {
-                let relation = statement_relation(other)
-                    .expect("all remaining read statements are relation-scoped");
-                self.owner_of(relation)
-            }
-        };
-        match self.floor_view(k).execute_statement(stmt) {
-            Some(result) => result.map_err(ExecError::from),
-            None => unreachable!("run_read is called with read-only statements"),
+    /// The `DROP DOMAIN` guard over every shard: refuse with the error a
+    /// single engine gives, naming the first relation (in name order)
+    /// whose signature uses `domain`. The caller holds the DDL lock.
+    fn refuse_in_use(&self, domain: &str) -> ExecResult<()> {
+        let user = self
+            .listing()?
+            .into_iter()
+            .find(|(_, attributes)| attributes.iter().any(|(_, d)| d == domain));
+        match user {
+            Some((by, _)) => Err(HqlError::from(CoreError::InUse {
+                kind: "domain",
+                name: domain.to_string(),
+                by,
+            })
+            .into()),
+            None => Ok(()),
         }
-    }
-
-    fn run_one(&self, stmt: Statement) -> ExecResult<Response> {
-        if stmt.is_read_only() {
-            self.run_read(stmt)
-        } else {
-            self.run_write(stmt)
-        }
-    }
-
-    /// Rename, migrating the relation when the name hash places the new
-    /// name on a different shard: replay schema, preemption mode, and
-    /// tuples onto the destination (domains are already everywhere),
-    /// then drop the source. Failures before the source drop roll the
-    /// destination back, so the old name stays intact.
-    fn rename(&self, from: String, to: String) -> ExecResult<Response> {
-        let _ddl = self.ddl.lock().expect("ddl lock poisoned");
-        let src = self.owner_of(&from);
-        let dst = default_shard(&to, self.shards.len());
-        if src == dst {
-            let response = self.exec_on(
-                src,
-                Statement::RenameRelation {
-                    from: from.clone(),
-                    to: to.clone(),
-                },
-            )?;
-            let mut routing = self.routing.write().expect("routing lock poisoned");
-            routing.routes.remove(&from);
-            routing.routes.insert(to, src);
-            return Ok(response);
-        }
-        let snap = self.shards[src].snapshot();
-        let entry = snap.relation_entry(&from)?; // kind "unknown" if missing
-        if self.shards[src].snapshot().is_view(&from) {
-            // Match the single-engine semantics: a renamed view detaches.
-            // Dropping the source below would otherwise fail its
-            // dependents mid-migration; keep it simple and explicit.
-            return Err(ExecError::new(
-                "unsupported",
-                format!("{from} is a live view; drop or detach it before a cross-shard rename"),
-            ));
-        }
-        let attributes = entry.signature.clone();
-        let relation = entry.relation.clone();
-        self.exec_on(
-            dst,
-            Statement::CreateRelation {
-                name: to.clone(),
-                attributes,
-            },
-        )?; // kind "duplicate" if the new name exists — source untouched
-        let replay: ExecResult<()> = (|| {
-            let mode = match relation.preemption() {
-                Preemption::OffPath => "OFF-PATH",
-                Preemption::OnPath => "ON-PATH",
-                Preemption::NoPreemption => "NONE",
-            };
-            self.exec_on(
-                dst,
-                Statement::SetPreemption {
-                    relation: to.clone(),
-                    mode: mode.to_string(),
-                },
-            )?;
-            let attrs = relation.schema().attributes().to_vec();
-            for (item, truth) in relation.iter() {
-                let values: Vec<ValueRef> = item
-                    .components()
-                    .iter()
-                    .zip(attrs.iter())
-                    .map(|(id, a)| ValueRef {
-                        name: a.domain().name(*id).to_string(),
-                        all: false,
-                    })
-                    .collect();
-                self.exec_on(
-                    dst,
-                    Statement::Assert {
-                        relation: to.clone(),
-                        negated: truth == Truth::Negative,
-                        values,
-                    },
-                )?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = replay {
-            let _ = self.exec_on(dst, Statement::DropRelation { name: to.clone() });
-            return Err(e);
-        }
-        self.exec_on(src, Statement::DropRelation { name: from.clone() })?;
-        let mut routing = self.routing.write().expect("routing lock poisoned");
-        routing.routes.remove(&from);
-        routing.routes.insert(to.clone(), dst);
-        Ok(Response::Ok(format!("relation {from} renamed to {to}")))
     }
 }
 
-impl ExecutorHandle for ShardedEngine {
+impl<S: ExecutorHandle> ExecutorHandle for Coordinator<S> {
     fn execute(&self, script: &str) -> ExecResult<Vec<String>> {
-        let statements = parse(script).map_err(ExecError::from)?;
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            out.push(self.run_one(stmt)?.to_string());
-        }
-        Ok(out)
+        parse(script)?
+            .into_iter()
+            .map(|stmt| self.run(stmt))
+            .collect()
     }
 
     fn execute_read(&self, script: &str, min_epoch: u64) -> ExecResult<Vec<String>> {
-        let statements = parse(script).map_err(ExecError::from)?;
+        let statements = parse(script)?;
         if !statements.iter().all(Statement::is_read_only) {
             return Err(ExecError::new(
                 "unsupported",
                 "script contains a mutating statement; route it through execute",
             ));
         }
-        if self.epoch() < min_epoch {
-            return Err(ExecError::new(
-                "stale",
-                format!(
-                    "coordinator at epoch {} is below the requested floor {min_epoch}",
-                    self.epoch()
-                ),
-            ));
+        if min_epoch > 0 {
+            let epoch = self.last_epoch()?;
+            if epoch < min_epoch {
+                return Err(ExecError::new(
+                    "stale",
+                    format!(
+                        "coordinator at epoch {epoch} is below the requested floor {min_epoch}"
+                    ),
+                ));
+            }
         }
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            out.push(self.run_read(stmt)?.to_string());
-        }
-        Ok(out)
+        statements.into_iter().map(|stmt| self.run(stmt)).collect()
     }
 
+    /// The sum of all shard epochs (monotone — every routed or
+    /// broadcast write advances it by at least one).
     fn last_epoch(&self) -> ExecResult<u64> {
-        Ok(self.epoch())
+        self.shards.iter().map(S::last_epoch).sum()
     }
 
     fn probe(&self) -> ExecResult<String> {
-        let mut out = format!("epoch: {}\nshards: {}", self.epoch(), self.shards.len());
-        for (k, shard) in self.shards.iter().enumerate() {
-            out.push_str(&format!("\nshard-{k}-epoch: {}", shard.epoch()));
+        let epochs = self
+            .shards
+            .iter()
+            .map(S::last_epoch)
+            .collect::<ExecResult<Vec<u64>>>()?;
+        let mut out = format!(
+            "epoch: {}\nshards: {}",
+            epochs.iter().sum::<u64>(),
+            epochs.len()
+        );
+        for (k, epoch) in epochs.iter().enumerate() {
+            out.push_str(&format!("\nshard-{k}-epoch: {epoch}"));
         }
-        let routing = self.routing.read().expect("routing lock poisoned");
-        out.push_str(&format!("\nrouted-relations: {}", routing.routes.len()));
+        let routes = self.routes.read().expect("routes lock poisoned");
+        out.push_str(&format!("\nrouted-relations: {}", routes.len()));
         Ok(out)
-    }
-}
-
-impl Statement {
-    /// The leading keyword(s) of this statement kind, for messages.
-    fn kind_keyword(&self) -> &'static str {
-        match self {
-            Statement::Load { .. } => "LOAD",
-            Statement::Open { .. } => "OPEN",
-            Statement::Checkpoint => "CHECKPOINT",
-            _ => "statement",
-        }
     }
 }
 

@@ -344,10 +344,17 @@ impl World {
         Ok(())
     }
 
-    /// The name of some relation whose schema references `domain`, if
-    /// any — the `DROP DOMAIN` InUse guard, and what a sharded
-    /// coordinator probes on every shard before broadcasting a drop.
-    pub fn domain_user(&self, domain: &str) -> Option<String> {
+    /// Every relation's name and `(attribute, domain)` signature, in
+    /// name order (`SHOW RELATIONS`).
+    pub(crate) fn signatures(&self) -> impl Iterator<Item = (&str, &[(String, String)])> {
+        self.relations
+            .iter()
+            .map(|(n, e)| (n.as_str(), e.signature.as_slice()))
+    }
+
+    /// The name of the first relation (in name order) whose schema
+    /// references `domain`, if any — the `DROP DOMAIN` InUse guard.
+    fn domain_user(&self, domain: &str) -> Option<String> {
         self.relations
             .iter()
             .find(|(_, e)| e.signature.iter().any(|(_, d)| d == domain))

@@ -16,7 +16,8 @@ fn arb_name() -> impl Strategy<Value = String> {
         "[A-Za-z]{1,5} [A-Za-z]{1,5}",
         Just("Amazing Flying Penguin".to_string()),
         Just("say \"hi\"".to_string()),
-        Just("ALL".to_string()), // keyword-looking name must be quoted
+        Just("ALL".to_string()),       // keyword-looking name must be quoted
+        Just("Relations".to_string()), // so must `SHOW RELATIONS`'s keyword
     ]
 }
 
@@ -125,6 +126,7 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
         (arb_name(), arb_derivation())
             .prop_map(|(name, derivation)| Statement::Let { name, derivation }),
         arb_derivation().prop_map(|derivation| Statement::Explain { derivation }),
+        Just(Statement::ShowRelations),
     ]
 }
 

@@ -1,17 +1,17 @@
-//! Session fuzz: random statement sequences over a seeded world must
-//! never panic, and successful mutations must leave the session in a
+//! Engine fuzz: random statement sequences over a seeded world must
+//! never panic, and successful mutations must leave the engine in a
 //! queryable state.
 
 use proptest::prelude::*;
 
-use hrdm_hql::Session;
+use hrdm_hql::Engine;
 
 const CLASSES: &[&str] = &["Bird", "Penguin", "Fish", "Mammal"];
 const INSTANCES: &[&str] = &["tweety", "paul", "nemo", "rex"];
 const RELATIONS: &[&str] = &["R", "S"];
 
-fn seeded_session() -> Session {
-    let mut s = Session::new();
+fn seeded_session() -> Engine {
+    let s = Engine::new();
     s.execute(
         r#"
         CREATE DOMAIN D;
@@ -68,20 +68,20 @@ proptest! {
 
     #[test]
     fn random_sessions_never_panic(commands in prop::collection::vec(arb_command(), 1..25)) {
-        let mut s = seeded_session();
+        let s = seeded_session();
         for cmd in &commands {
             // Errors are fine (contradictions, unknown names, duplicate
             // LET bindings); panics are not.
             let _ = s.execute(cmd);
         }
-        // The session remains usable afterwards.
+        // The engine remains usable afterwards.
         let out = s.execute("HOLDS R (tweety);");
         prop_assert!(out.is_ok());
     }
 
     #[test]
     fn successful_asserts_are_visible(class in prop::sample::select(CLASSES.to_vec())) {
-        let mut s = seeded_session();
+        let s = seeded_session();
         s.execute(&format!("ASSERT R (ALL {class});")).unwrap();
         // Some instance under the class must now hold.
         let member = match class {

@@ -1,7 +1,8 @@
 //! Sharded-coordinator integration: byte parity with the single
-//! engine, cross-shard relation migration, the `DROP DOMAIN` in-use
-//! guard through the coordinator, and writes racing scatter-gather
-//! reads under the epoch floor.
+//! engine, renames onto names that hash to another shard, names taken
+//! on every shard, the `DROP DOMAIN` in-use guard through the
+//! coordinator, and writes racing scatter-gather reads under the epoch
+//! floor.
 
 use std::sync::Arc;
 
@@ -102,12 +103,10 @@ fn rename_migrates_a_relation_across_shards() {
         .execute(&format!("RENAME RELATION Flies TO {to};"))
         .unwrap();
     assert_eq!(out, vec![format!("relation Flies renamed to {to}")]);
-    let dst = sharded.owner_of(&to);
-    assert_ne!(src, dst, "the new name hashes to a different shard");
-    assert_eq!(sharded.route_of(&to), Some(dst));
+    assert_eq!(sharded.owner_of(&to), src, "the route moves; the rows stay");
     assert_eq!(sharded.route_of("Flies"), None);
 
-    // The migrated relation answers byte-identically to a single
+    // The renamed relation answers byte-identically to a single
     // engine that performed the same rename.
     let single = Engine::new();
     single.execute(BOOTSTRAP).unwrap();
@@ -133,6 +132,62 @@ fn rename_migrates_a_relation_across_shards() {
         .execute_read(&format!("HOLDS {to} (Pia);"), 0)
         .unwrap();
     assert!(out[0].ends_with("true"), "{:?}", out[0]);
+}
+
+/// A name placed by `LET` on its source's shard is taken on every
+/// shard: creating it again, or renaming onto it, is the single
+/// engine's `duplicate` error, and exactly one shard holds it.
+#[test]
+fn names_placed_by_let_are_taken_on_every_shard() {
+    let shards = 4;
+    let sharded = ShardedEngine::new(shards);
+    let single = Engine::new();
+    sharded.execute(BOOTSTRAP).unwrap();
+    single.execute(BOOTSTRAP).unwrap();
+    let home = sharded.owner_of("Flies");
+    // A view name that hashes away from its source's shard, and a
+    // relation that hashes to the same shard as the view name.
+    let view = (0..)
+        .map(|i| format!("V{i}"))
+        .find(|c| default_shard(c, shards) != home)
+        .unwrap();
+    let other = (0..)
+        .map(|i| format!("Other{i}"))
+        .find(|c| default_shard(c, shards) == default_shard(&view, shards))
+        .unwrap();
+    let setup = format!(
+        "LET {view} = SELECT Flies WHERE Creature IS ALL Bird;\
+         CREATE RELATION {other} (Creature: Animal);"
+    );
+    assert_eq!(
+        ExecutorHandle::execute(&single, &setup).unwrap(),
+        sharded.execute(&setup).unwrap()
+    );
+    assert_eq!(
+        sharded.owner_of(&view),
+        home,
+        "LET colocates with its source"
+    );
+
+    for script in [
+        format!("CREATE RELATION {view} (Creature: Animal);"),
+        format!("RENAME RELATION {other} TO {view};"),
+    ] {
+        let expected = ExecutorHandle::execute(&single, &script).unwrap_err();
+        assert_eq!(expected.kind(), "duplicate", "{script}");
+        assert_eq!(sharded.execute(&script).unwrap_err(), expected, "{script}");
+    }
+    let holders = sharded
+        .shards()
+        .iter()
+        .filter(|shard| shard.snapshot().relation(&view).is_ok())
+        .count();
+    assert_eq!(holders, 1, "exactly one shard holds {view}");
+    let reads = format!("SHOW {view}; SHOW {other};");
+    assert_eq!(
+        ExecutorHandle::execute_read(&single, &reads, 0).unwrap(),
+        sharded.execute_read(&reads, 0).unwrap()
+    );
 }
 
 #[test]

@@ -44,9 +44,13 @@
 
 pub mod proto;
 pub mod server;
-pub mod shard;
 pub mod sys;
 
 pub use proto::{Client, FrameReader, MetricsFormat, Reply, Request};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
-pub use shard::WireRouter;
+
+/// The shard coordinator over `HRDM/1` connections to shard servers:
+/// the same routing as the in-process `ShardedEngine`, one [`Client`]
+/// per shard. Build it with `WireRouter::over(clients)`, which reads
+/// the shards' relation placement back over the wire.
+pub type WireRouter = hrdm::hql::Coordinator<Client>;

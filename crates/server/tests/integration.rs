@@ -1,12 +1,12 @@
 //! Integration tests over a real socket: handshake, query round-trips
-//! (byte-identical to an embedded session), stable error kinds on the
+//! (byte-identical to an embedded engine), stable error kinds on the
 //! wire, admission control (`BUSY`), read timeouts, protocol errors,
 //! `STATS`, and graceful shutdown.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hrdm::prelude::{Engine, Session};
+use hrdm::prelude::Engine;
 use hrdm_server::proto::{read_frame, write_frame, PROTOCOL_VERSION};
 use hrdm_server::{Client, Reply, Request, Server, ServerConfig, ServerHandle};
 
@@ -24,7 +24,7 @@ fn start(max_connections: usize, read_timeout: Duration) -> ServerHandle {
 }
 
 #[test]
-fn queries_over_the_wire_are_byte_identical_to_an_embedded_session() {
+fn queries_over_the_wire_are_byte_identical_to_an_embedded_engine() {
     let handle = start(8, Duration::from_secs(5));
     let script = "CREATE DOMAIN Animal; \
                   CREATE CLASS Bird UNDER Animal; \
@@ -33,9 +33,10 @@ fn queries_over_the_wire_are_byte_identical_to_an_embedded_session() {
                   ASSERT Flies (ALL Bird); \
                   HOLDS Flies (Tweety); \
                   SHOW Flies; \
-                  COUNT Flies;";
-    let mut session = Session::new();
-    let expected: Vec<String> = session
+                  COUNT Flies; \
+                  SHOW RELATIONS;";
+    let engine = Engine::new();
+    let expected: Vec<String> = engine
         .execute(script)
         .unwrap()
         .iter()
@@ -52,7 +53,7 @@ fn queries_over_the_wire_are_byte_identical_to_an_embedded_session() {
 
     // A second statement batch sees the first batch's state.
     let reply = client.query("HOLDS Flies (Tweety);").unwrap();
-    let expected: Vec<String> = session
+    let expected: Vec<String> = engine
         .execute("HOLDS Flies (Tweety);")
         .unwrap()
         .iter()

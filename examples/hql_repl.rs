@@ -13,7 +13,7 @@
 
 use std::io::{BufRead, Write};
 
-use hrdm::hql::Session;
+use hrdm::hql::Engine;
 
 const PRELUDE: &str = r#"
 CREATE DOMAIN Animal;
@@ -40,14 +40,15 @@ HQL statements (see crates/hql for the full grammar):
   CREATE RELATION r (attr: domain, ...);
   ASSERT [NOT] r (ALL Class, instance, ...); RETRACT r (...);
   HOLDS r (...); WHY r (...); CHECK r; SHOW r; SHOW DOMAIN d;
+  SHOW RELATIONS;
   CONSOLIDATE r; EXPLICATE r [ON attr]; SET PREEMPTION r ON-PATH;
   LET x = UNION a b | INTERSECT a b | DIFFERENCE a b | JOIN a b
         | PROJECT a (attrs) | SELECT a WHERE attr IS value;
 Shell commands: .help  .relations  .quit";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut session = Session::new();
-    session.execute(PRELUDE)?;
+    let engine = Engine::new();
+    engine.execute(PRELUDE)?;
     println!("hrdm HQL shell — Fig. 1 world preloaded ('.help' for help)");
 
     let stdin = std::io::stdin();
@@ -72,8 +73,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             ".relations" => {
-                for name in session.relation_names() {
-                    println!("  {name}");
+                match engine.execute("SHOW RELATIONS;") {
+                    Ok(responses) => println!("{}", responses[0]),
+                    Err(e) => println!("error: {e}"),
                 }
                 continue;
             }
@@ -85,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !trimmed.ends_with(';') {
             continue;
         }
-        match session.execute(&buffer) {
+        match engine.execute(&buffer) {
             Ok(responses) => {
                 for r in responses {
                     println!("{r}");

@@ -8,9 +8,9 @@
 //! [`ExecutorHandle`] — runs unchanged against three deployments:
 //!
 //! 1. an embedded [`Engine`] (one process, one partition),
-//! 2. a [`ShardedEngine`] hash-partitioning the catalog across four
-//!    in-process shards (domain DDL broadcast, reads scatter-gathered
-//!    under an epoch floor),
+//! 2. a [`ShardedEngine`] partitioning the catalog by relation name
+//!    across four in-process shards (domain DDL broadcast, each
+//!    statement routed to the shard that holds its relation),
 //! 3. a WAL-fed [`Replica`] tailing a primary's store directory and
 //!    serving the same reads from its own snapshot.
 //!
